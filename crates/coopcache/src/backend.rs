@@ -79,6 +79,8 @@ impl Backend {
                 let cpu_ns = cfg.cpu_base_ns + (size as u64 * cfg.cpu_per_kb_ns).div_ceil(1024);
                 ctx.cluster.cpu(node).execute(cpu_ns).await;
                 ctx.cluster.sim().sleep(cfg.io_ns).await;
+                // The document's shared window: the one copy is into the
+                // response frame.
                 let content = fs.content(doc, size);
                 respond(&ctx.cluster, node, &req, &content, Transport::Tcp).await;
             }

@@ -245,12 +245,10 @@ impl CacheNode {
                 dir.clear(me, v, me).await;
             });
         }
-        // Write header + content (a local memcpy).
-        let mut block = Vec::with_capacity(total);
-        block.extend_from_slice(&doc.to_le_bytes());
-        block.extend_from_slice(&(size as u32).to_le_bytes());
-        block.extend_from_slice(content);
-        region.write(offset, &block);
+        // Write header + content in place (a local memcpy).
+        region.write(offset, &doc.to_le_bytes());
+        region.write(offset + 4, &(size as u32).to_le_bytes());
+        region.write(offset + DOC_HDR, content);
         self.inner
             .cluster
             .cpu(self.inner.node)

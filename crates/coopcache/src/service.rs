@@ -280,7 +280,7 @@ impl CoopCache {
         let data = node
             .local_get(doc, size)
             .await
-            .unwrap_or_else(|| Bytes::from(self.inner.fileset.content(doc as usize, size)));
+            .unwrap_or_else(|| self.inner.fileset.content(doc as usize, size));
         (data, ServeOutcome::BackendMiss)
     }
 
@@ -310,7 +310,7 @@ impl CoopCache {
         let data = node
             .local_get(doc, size)
             .await
-            .unwrap_or_else(|| Bytes::from(self.inner.fileset.content(doc as usize, size)));
+            .unwrap_or_else(|| self.inner.fileset.content(doc as usize, size));
         (data, ServeOutcome::BackendMiss)
     }
 
@@ -335,15 +335,16 @@ impl CoopCache {
                             // fall back to a direct backend fetch without
                             // caching (no duplication).
                             self.note_degrade(proxy, doc);
-                            let data = owner_node.local_get(doc, size).await.unwrap_or_else(|| {
-                                Bytes::from(self.inner.fileset.content(doc as usize, size))
-                            });
+                            let data = owner_node
+                                .local_get(doc, size)
+                                .await
+                                .unwrap_or_else(|| self.inner.fileset.content(doc as usize, size));
                             (data, ServeOutcome::BackendMiss)
                         }
                     },
                     None => {
                         // Uncacheable at the owner (too big): direct fetch.
-                        let data = Bytes::from(self.inner.fileset.content(doc as usize, size));
+                        let data = self.inner.fileset.content(doc as usize, size);
                         (data, ServeOutcome::BackendMiss)
                     }
                 }

@@ -419,6 +419,11 @@ impl ErpcServer {
 // ---------------------------------------------------------------------------
 
 struct Slot {
+    /// Claimed by a call, from admission until that caller has taken its
+    /// response. The slot's credit is out for exactly this span.
+    held: Cell<bool>,
+    /// Request outstanding: the pump accepts its response and the sweeper
+    /// retransmits it.
     busy: Cell<bool>,
     seq: Cell<u32>,
     op: Cell<u8>,
@@ -432,6 +437,7 @@ struct Slot {
 impl Slot {
     fn new() -> Slot {
         Slot {
+            held: Cell::new(false),
             busy: Cell::new(false),
             seq: Cell::new(0),
             op: Cell::new(0),
@@ -549,9 +555,9 @@ impl ErpcMux {
                     *slot.resp.borrow_mut() = Some(msg.data);
                     slot.req.borrow_mut().take();
                     slot.busy.set(false);
-                    s.credits.borrow_mut().release();
-                    inner.m_credits.add(1);
-                    s.credit_waiters.notify_one();
+                    // The credit stays out until the caller has taken the
+                    // response (`Claim::drop`): a woken waiter must not
+                    // reuse this slot while the response still sits in it.
                     let waker = slot.waker.borrow_mut().take();
                     if let Some(w) = waker {
                         w.wake();
@@ -690,6 +696,30 @@ async fn sweep_session(mux: &MuxInner, s: &SessionInner) {
     }
 }
 
+/// A call's hold on its slot and credit. Dropping it — after the response
+/// was taken, or when the call is abandoned — frees the slot, returns the
+/// credit and admits the longest waiter.
+struct Claim<'a> {
+    mux: &'a MuxInner,
+    s: &'a SessionInner,
+    slot: &'a Slot,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let slot = self.slot;
+        slot.busy.set(false);
+        slot.req.borrow_mut().take();
+        slot.resp.borrow_mut().take();
+        slot.held.set(false);
+        self.s.credits.borrow_mut().release();
+        self.mux.m_credits.add(1);
+        if self.s.credit_waiters.waiting() > 0 {
+            self.s.credit_waiters.notify_one();
+        }
+    }
+}
+
 /// Await-able response slot: resolves when the pump deposits the response.
 struct RespWait<'a> {
     slot: &'a Slot,
@@ -725,8 +755,14 @@ impl ErpcSession {
     pub async fn call(&self, op: u8, payload: Bytes) -> Bytes {
         let s = &*self.s;
         let mux = &*self.mux;
+        let window = mux.cfg.window;
+        // Admission takes the slot of the next sequence number, so the
+        // outstanding seqs always lie within one window (the server's reply
+        // cache is keyed by seq mod window). Responses may arrive out of
+        // order, so a free credit alone does not mean that slot is free.
         loop {
-            if s.credits.borrow_mut().try_take() {
+            let head = &s.slots[(s.next_seq.get() % window) as usize];
+            if !head.held.get() && s.credits.borrow_mut().try_take() {
                 mux.m_credits.add(-1);
                 break;
             }
@@ -735,14 +771,21 @@ impl ErpcSession {
         }
         let seq = s.next_seq.get();
         s.next_seq.set((seq + 1) & SEQ_MASK);
-        let slot = &s.slots[(seq % mux.cfg.window) as usize];
+        let slot = &s.slots[(seq % window) as usize];
+        slot.held.set(true);
+        let claim = Claim { mux, s, slot };
+        // Pass admission on if the following slot is free too.
+        if !s.slots[(s.next_seq.get() % window) as usize].held.get()
+            && s.credit_waiters.waiting() > 0
+        {
+            s.credit_waiters.notify_one();
+        }
         debug_assert!(!slot.busy.get(), "window credit admitted a busy slot");
         slot.busy.set(true);
         slot.seq.set(seq);
         slot.op.set(op);
         slot.retx.set(0);
         *slot.req.borrow_mut() = Some(payload.clone());
-        slot.resp.borrow_mut().take();
         // Pace to the session rate: reserve the next transmit instant
         // before sleeping so concurrent calls serialize their gaps.
         let sim = mux.cluster.sim().clone();
@@ -773,7 +816,9 @@ impl ErpcSession {
                 Transport::RdmaSend,
             )
             .await;
-        RespWait { slot }.await
+        let resp = RespWait { slot }.await;
+        drop(claim);
+        resp
     }
 
     /// Current congestion-controlled rate.
@@ -1062,7 +1107,10 @@ mod review_repro {
         let mux = ErpcMux::new(
             &cluster,
             NodeId(0),
-            ErpcCfg { window: 1, ..ErpcCfg::default() },
+            ErpcCfg {
+                window: 1,
+                ..ErpcCfg::default()
+            },
         );
         let sess = mux.session(NodeId(1), srv.ports()[0], 1);
         let handles: Vec<_> = (0..3u8)

@@ -1,28 +1,42 @@
 //! The at-scale webfarm's steady-state loop is allocation-free.
 //!
-//! A counting global allocator (this file is its own test binary, so the
-//! counter sees only this test) measures two runs of the same scaled
-//! configuration that differ only in horizon. Setup allocates — arrival
+//! A counting global allocator measures two runs of the same scaled
+//! configuration that differ only in horizon. Its counters are per thread:
+//! the tests of this binary run on parallel threads, and each must see only
+//! its own allocations (so the farm is pinned to one shard, which runs on
+//! the calling thread). Setup allocates — arrival
 //! slabs, queues, histograms — and the first measured window may still
 //! grow a `VecDeque` or a waiter list to its high-water mark, but the
 //! *extra* second of simulated steady state must add (almost) nothing:
 //! every per-request structure is recycled slab state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Allocations at least one response payload long — the signature a copied
-/// eRPC response body would leave behind.
-static PAYLOAD_SIZED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations at least one response payload long — the signature a
+    /// copied eRPC response body would leave behind.
+    static PAYLOAD_SIZED: Cell<u64> = const { Cell::new(0) };
+}
 const PAYLOAD_BYTES: usize = 8192;
+
+/// This thread's count so far.
+fn count(c: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+    c.with(Cell::get)
+}
+
+fn bump(c: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = c.try_with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        bump(&ALLOCS);
         if l.size() >= PAYLOAD_BYTES {
-            PAYLOAD_SIZED.fetch_add(1, Ordering::Relaxed);
+            bump(&PAYLOAD_SIZED);
         }
         unsafe { System.alloc(l) }
     }
@@ -43,6 +57,7 @@ fn webfarm_scale_steady_state_is_allocation_free() {
         clients: 3_000,
         backend_workers: 1,
         warmup_ns: 200_000_000,
+        shards: Some(1),
         ..dc_bench::ext_webfarm::gate_cfg()
     };
     let sat = base.saturation_rps();
@@ -52,9 +67,9 @@ fn webfarm_scale_steady_state_is_allocation_free() {
             horizon_ns,
             ..base.clone()
         };
-        let a0 = ALLOCS.load(Ordering::Relaxed);
+        let a0 = count(&ALLOCS);
         let p = run_webfarm_scale(&cfg);
-        let da = ALLOCS.load(Ordering::Relaxed) - a0;
+        let da = count(&ALLOCS) - a0;
         (da, p)
     };
 
@@ -97,8 +112,8 @@ fn erpc_incast_steady_state_makes_zero_payload_copies() {
 
     let sessions = 16usize;
     let run_for = |reqs_per_session: usize| {
-        let a0 = ALLOCS.load(Ordering::Relaxed);
-        let p0 = PAYLOAD_SIZED.load(Ordering::Relaxed);
+        let a0 = count(&ALLOCS);
+        let p0 = count(&PAYLOAD_SIZED);
         let sim = Sim::new();
         let cluster = Cluster::new(sim.handle(), FabricModel::calibrated_2007(), 2);
         let resp = Bytes::from(vec![0xA5u8; PAYLOAD_BYTES]);
@@ -128,10 +143,7 @@ fn erpc_incast_steady_state_makes_zero_payload_copies() {
             served
         });
         assert_eq!(served, (sessions * reqs_per_session) as u64);
-        (
-            ALLOCS.load(Ordering::Relaxed) - a0,
-            PAYLOAD_SIZED.load(Ordering::Relaxed) - p0,
-        )
+        (count(&ALLOCS) - a0, count(&PAYLOAD_SIZED) - p0)
     };
 
     // Warm process-wide state, then measure two request volumes.
